@@ -14,6 +14,9 @@ use crate::request::ReqId;
 use simkit::resource::MultiServer;
 use simkit::rng::{LognormalShape, SimRng};
 use simkit::time::{SimDuration, SimTime};
+use std::sync::OnceLock;
+use tpcw::demand::profile;
+use tpcw::interaction::Interaction;
 
 /// Table-open penalty on a table-cache miss: descriptor setup CPU.
 const TABLE_OPEN_CPU: SimDuration = SimDuration::from_micros(800);
@@ -29,6 +32,10 @@ const NET_CHUNK_CPU: SimDuration = SimDuration::from_micros(30);
 const RESULT_BYTES_MEAN: f64 = 24.0 * 1024.0;
 /// Disk page read size for a data miss.
 pub const DATA_PAGE_BYTES: u64 = 16 * 1024;
+/// Coefficients of variation of the per-query draws.
+const QUERY_CPU_CV: f64 = 0.3;
+const RESULT_BYTES_CV: f64 = 0.6;
+const BINLOG_CV: f64 = 0.7;
 
 /// Per-node database state.
 #[derive(Debug, Clone)]
@@ -46,6 +53,51 @@ pub struct DbState {
     cpu_shape: LognormalShape,
     result_shape: LognormalShape,
     binlog_shape: LognormalShape,
+    /// Location of the result-set size draw (its mean is a constant).
+    result_mu: f64,
+}
+
+/// The per-query draw parameters of one demand profile, resolved once:
+/// the lognormal locations of the CPU and binlog draws carry the `ln` of
+/// their means, so a query draws without recomputing it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueryDemand {
+    cpu_mu: f64,
+    io_prob: f64,
+    join_heavy: bool,
+    /// `None` for read-only queries, which never draw a binlog size.
+    binlog_mu: Option<f64>,
+}
+
+impl QueryDemand {
+    /// Resolve a query's draw parameters.
+    ///
+    /// * `base_cpu_ms` / `io_prob` / `join_heavy` / `write_log_kb` come
+    ///   from an interaction's demand profile (`write_log_kb` is 0 for
+    ///   read-only pages).
+    pub fn new(base_cpu_ms: f64, io_prob: f64, join_heavy: bool, write_log_kb: f64) -> Self {
+        QueryDemand {
+            cpu_mu: LognormalShape::from_cv(QUERY_CPU_CV).location(base_cpu_ms.max(0.05)),
+            io_prob,
+            join_heavy,
+            binlog_mu: (write_log_kb > 0.0)
+                .then(|| LognormalShape::from_cv(BINLOG_CV).location(write_log_kb * 1024.0)),
+        }
+    }
+
+    /// The demand of one query of interaction `ix`, from its profile.
+    /// Profiles are constants, so the table is built once per process.
+    pub fn of(ix: Interaction) -> &'static QueryDemand {
+        static DEMANDS: OnceLock<[QueryDemand; Interaction::COUNT]> = OnceLock::new();
+        let demands = DEMANDS.get_or_init(|| {
+            Interaction::ALL.map(|ix| {
+                let p = profile(ix);
+                let write_log_kb = if p.db_write { p.write_log_kb } else { 0.0 };
+                QueryDemand::new(p.db_cpu_ms, p.db_io_prob, p.join_heavy, write_log_kb)
+            })
+        });
+        &demands[ix.index()]
+    }
 }
 
 /// The execution cost of one query, decided at dispatch time.
@@ -61,14 +113,16 @@ pub struct QueryCost {
 
 impl DbState {
     pub fn new(params: DbParams, start: SimTime, hot_table_slots: u64) -> Self {
+        let result_shape = LognormalShape::from_cv(RESULT_BYTES_CV);
         DbState {
             params,
             conn_pool: MultiServer::new(start, params.max_connections.max(1) as u32, None),
             run_slots: MultiServer::new(start, params.thread_concurrency.max(1) as u32, None),
             hot_table_slots: hot_table_slots.max(1),
-            cpu_shape: LognormalShape::from_cv(0.3),
-            result_shape: LognormalShape::from_cv(0.6),
-            binlog_shape: LognormalShape::from_cv(0.7),
+            cpu_shape: LognormalShape::from_cv(QUERY_CPU_CV),
+            result_shape,
+            binlog_shape: LognormalShape::from_cv(BINLOG_CV),
+            result_mu: result_shape.location(RESULT_BYTES_MEAN),
         }
     }
 
@@ -100,31 +154,21 @@ impl DbState {
         }
     }
 
+    /// Compute the full cost of one query with the given demand
+    /// ([`QueryDemand::of`] for an interaction's).
+    ///
     /// Serialization loss when `thread_concurrency` is below the core
     /// count: the run-slot semaphore itself then throttles below hardware
     /// capacity, which the queueing model captures naturally — no extra
     /// factor needed here.
-    ///
-    /// Compute the full cost of one query.
-    ///
-    /// * `base_cpu_ms` / `io_prob` / `join_heavy` / `write_log_kb` come
-    ///   from the interaction's demand profile.
-    pub fn query_cost(
-        &self,
-        rng: &mut SimRng,
-        base_cpu_ms: f64,
-        io_prob: f64,
-        join_heavy: bool,
-        write_log_kb: f64,
-        cores: u32,
-    ) -> QueryCost {
-        let mut cpu_ms = rng.lognormal_shaped(self.cpu_shape, base_cpu_ms.max(0.05));
-        if join_heavy {
+    pub fn query_cost(&self, rng: &mut SimRng, demand: &QueryDemand, cores: u32) -> QueryCost {
+        let mut cpu_ms = rng.lognormal_at(self.cpu_shape, demand.cpu_mu);
+        if demand.join_heavy {
             cpu_ms *= self.join_factor();
         }
 
         // Table-cache miss: open-table CPU and maybe metadata I/O.
-        let mut disk_read = rng.chance(io_prob);
+        let mut disk_read = rng.chance(demand.io_prob);
         let mut cpu = SimDuration::from_millis_f64(cpu_ms);
         if rng.chance(self.table_miss_prob()) {
             cpu += TABLE_OPEN_CPU;
@@ -134,7 +178,7 @@ impl DbState {
         }
 
         // Result-set chunking through net_buffer_length.
-        let result_bytes = rng.lognormal_shaped(self.result_shape, RESULT_BYTES_MEAN);
+        let result_bytes = rng.lognormal_at(self.result_shape, self.result_mu);
         let chunks = (result_bytes / self.params.net_buffer_length.max(1024) as f64)
             .ceil()
             .max(1.0) as u64;
@@ -144,12 +188,10 @@ impl DbState {
         cpu = cpu.mul_f64(self.scheduling_factor(cores));
 
         // Binlog: transaction log bigger than the cache spills to disk.
-        let binlog_spill = if write_log_kb > 0.0 {
-            let log_bytes = rng.lognormal_shaped(self.binlog_shape, write_log_kb * 1024.0);
+        let binlog_spill = demand.binlog_mu.is_some_and(|mu| {
+            let log_bytes = rng.lognormal_at(self.binlog_shape, mu);
             log_bytes > self.params.binlog_cache_size.max(0) as f64
-        } else {
-            false
-        };
+        });
 
         QueryCost {
             cpu,
@@ -174,6 +216,11 @@ mod tests {
 
     fn default_db() -> DbState {
         db(DbParams::default_config())
+    }
+
+    /// Cost of one non-join query on a 2-core node.
+    fn cost(d: &DbState, rng: &mut SimRng, cpu_ms: f64, io_prob: f64, log_kb: f64) -> QueryCost {
+        d.query_cost(rng, &QueryDemand::new(cpu_ms, io_prob, false, log_kb), 2)
     }
 
     #[test]
@@ -213,11 +260,7 @@ mod tests {
         let mut rng = SimRng::new(7);
         let small = default_db(); // 32 KB cache
         let spills = (0..2_000)
-            .filter(|_| {
-                small
-                    .query_cost(&mut rng, 5.0, 0.0, false, 120.0, 2)
-                    .binlog_spill
-            })
+            .filter(|_| cost(&small, &mut rng, 5.0, 0.0, 120.0).binlog_spill)
             .count();
         // 120 KB mean log vs 32 KB cache: nearly always spills.
         assert!(spills > 1_800, "spills {spills}");
@@ -226,10 +269,7 @@ mod tests {
         p.binlog_cache_size = 1_048_576;
         let big = db(p);
         let spills_big = (0..2_000)
-            .filter(|_| {
-                big.query_cost(&mut rng, 5.0, 0.0, false, 120.0, 2)
-                    .binlog_spill
-            })
+            .filter(|_| cost(&big, &mut rng, 5.0, 0.0, 120.0).binlog_spill)
             .count();
         assert!(spills_big < 200, "spills_big {spills_big}");
     }
@@ -239,7 +279,7 @@ mod tests {
         let mut rng = SimRng::new(9);
         let d = default_db();
         for _ in 0..500 {
-            assert!(!d.query_cost(&mut rng, 3.0, 0.5, false, 0.0, 2).binlog_spill);
+            assert!(!cost(&d, &mut rng, 3.0, 0.5, 0.0).binlog_spill);
         }
     }
 
@@ -253,20 +293,10 @@ mod tests {
         big.net_buffer_length = 65_536;
         let n = 2_000;
         let cpu_small: u64 = (0..n)
-            .map(|_| {
-                db(small)
-                    .query_cost(&mut rng_a, 5.0, 0.0, false, 0.0, 2)
-                    .cpu
-                    .as_micros()
-            })
+            .map(|_| cost(&db(small), &mut rng_a, 5.0, 0.0, 0.0).cpu.as_micros())
             .sum();
         let cpu_big: u64 = (0..n)
-            .map(|_| {
-                db(big)
-                    .query_cost(&mut rng_b, 5.0, 0.0, false, 0.0, 2)
-                    .cpu
-                    .as_micros()
-            })
+            .map(|_| cost(&db(big), &mut rng_b, 5.0, 0.0, 0.0).cpu.as_micros())
             .sum();
         assert!(cpu_small > cpu_big, "{cpu_small} vs {cpu_big}");
     }
@@ -292,7 +322,7 @@ mod tests {
         let d = db(p);
         let n = 5_000;
         let reads = (0..n)
-            .filter(|_| d.query_cost(&mut rng, 3.0, 0.4, false, 0.0, 2).disk_read)
+            .filter(|_| cost(&d, &mut rng, 3.0, 0.4, 0.0).disk_read)
             .count();
         let frac = reads as f64 / n as f64;
         assert!((0.35..0.45).contains(&frac), "frac {frac}");

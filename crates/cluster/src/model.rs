@@ -29,6 +29,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::config::{ClusterConfig, NodeId, Role, Topology};
+use crate::database::QueryDemand;
 use crate::node::{Node, NodeUtilization};
 use crate::object::object_size_bytes;
 use crate::proxy::CacheOutcome;
@@ -37,7 +38,7 @@ use crate::spec::NodeSpec;
 use faults::{Health, HealthChange, HealthTimeline};
 use simkit::engine::{Model, Scheduler};
 use simkit::resource::Admission;
-use simkit::rng::{LognormalShape, SimRng};
+use simkit::rng::{LognormalShape, SimRng, Zipf};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use tpcw::browser::{BrowserConfig, BrowserId, BrowserPool};
@@ -277,7 +278,6 @@ pub struct ClusterModel {
     pub nodes: Vec<Node>,
     topology: Topology,
     workload: Workload,
-    scale: CatalogScale,
     browsers: BrowserPool,
     requests: RequestSlab,
     pub metrics: MetricsCollector,
@@ -287,6 +287,11 @@ pub struct ClusterModel {
     /// to deriving them per draw; hoists `ln`/`sqrt` off the hot path).
     object_size_shape: LognormalShape,
     cpu_demand_shape: LognormalShape,
+    /// Per-interaction lognormal locations of the admission and servlet
+    /// draws, indexed by [`Interaction::index`] (hoists the per-draw `ln`).
+    locations: [DrawLocations; Interaction::COUNT],
+    /// Object popularity over the static catalogue.
+    popularity: Zipf,
     /// Per-line, per-tier node lists (a single implicit line when no
     /// partition is configured).
     line_tiers: Vec<[Vec<NodeId>; 3]>,
@@ -308,6 +313,15 @@ pub struct ClusterModel {
     total_failed: u64,
     /// Cohort load-model state (`None` in the per-browser model).
     cohort: Option<CohortRuntime>,
+}
+
+/// Lognormal locations of one interaction's per-request draws.
+#[derive(Debug, Clone, Copy)]
+struct DrawLocations {
+    /// Dynamic response size, KB.
+    object_kb: f64,
+    /// Servlet CPU, ms.
+    app_cpu_ms: f64,
 }
 
 /// Runtime state of the cohort load model: the resolved geometry plus
@@ -428,6 +442,15 @@ impl ClusterModel {
             )
         });
         let node_count = scenario.topology.len();
+        let object_size_shape = LognormalShape::from_cv(OBJECT_SIZE_CV);
+        let cpu_demand_shape = LognormalShape::from_cv(CPU_DEMAND_CV);
+        let locations = Interaction::ALL.map(|ix| {
+            let p = demand::profile(ix);
+            DrawLocations {
+                object_kb: object_size_shape.location(p.object_kb.max(0.5)),
+                app_cpu_ms: cpu_demand_shape.location(p.app_cpu_ms.max(0.05)),
+            }
+        });
         ClusterModel {
             nodes,
             navigation,
@@ -440,13 +463,17 @@ impl ClusterModel {
                 .unwrap_or_default(),
             topology: scenario.topology.clone(),
             workload: scenario.workload,
-            scale: scenario.scale,
             browsers,
             requests: RequestSlab::new(),
             metrics: MetricsCollector::new(scenario.plan, start),
             rng_service,
-            object_size_shape: LognormalShape::from_cv(OBJECT_SIZE_CV),
-            cpu_demand_shape: LognormalShape::from_cv(CPU_DEMAND_CV),
+            object_size_shape,
+            cpu_demand_shape,
+            locations,
+            popularity: Zipf::new(
+                scenario.scale.static_objects(),
+                scenario.scale.popularity_theta,
+            ),
             rr: vec![[0; 3]; line_count],
             line_completed: vec![0; line_count],
             line_tiers,
@@ -615,12 +642,13 @@ impl ClusterModel {
         let brng = self.browsers.rng(browser);
         let cacheable = brng.chance(profile.cacheable);
         if cacheable {
-            let obj = brng.zipf(self.scale.static_objects(), self.scale.popularity_theta);
+            let obj = self.popularity.sample(brng);
             req.object = Some(obj);
             req.response_bytes = object_size_bytes(obj);
             req.needs_servlet = false;
         } else {
-            let kb = brng.lognormal_shaped(self.object_size_shape, profile.object_kb.max(0.5));
+            let mu = self.locations[interaction.index()].object_kb;
+            let kb = brng.lognormal_at(self.object_size_shape, mu);
             req.response_bytes = (kb * 1024.0).max(512.0) as u64;
             req.needs_servlet = true;
             req.queries_remaining = profile.db_queries;
@@ -958,15 +986,13 @@ impl ClusterModel {
         let r = self.requests.req(req);
         let (app_node, interaction, bytes, weight) =
             (r.app_node, r.interaction, r.response_bytes, r.weight);
-        let profile = demand::profile(interaction);
-        let base_ms = self
-            .rng_service
-            .lognormal_shaped(self.cpu_demand_shape, profile.app_cpu_ms.max(0.05));
+        let mu = self.locations[interaction.index()].app_cpu_ms;
+        let base_ms = self.rng_service.lognormal_at(self.cpu_demand_shape, mu);
         let node = &self.nodes[app_node];
         let app = node.app().unwrap();
         let cpu = app
             .servlet_cpu(SimDuration::from_millis_f64(base_ms), bytes)
-            .mul_f64(app.scheduling_factor(node.spec.cores));
+            .mul_f64(app.scheduling_factor(node.spec().cores));
         let t = node.cpu_time(cpu);
         self.requests.req_mut(req).phase = ReqPhase::AppCpu;
         self.offer_cpu(sched, app_node, req, Self::weighted(t, weight));
@@ -1071,20 +1097,11 @@ impl ClusterModel {
         let r = self.requests.req_mut(req);
         r.holds_db_sched = true;
         let (db_node, interaction, weight) = (r.db_node, r.interaction, r.weight);
-        let profile = demand::profile(interaction);
         let node = &self.nodes[db_node];
-        let cores = node.spec.cores;
         let cost = node.db().unwrap().query_cost(
             &mut self.rng_service,
-            profile.db_cpu_ms,
-            profile.db_io_prob,
-            profile.join_heavy,
-            if profile.db_write {
-                profile.write_log_kb
-            } else {
-                0.0
-            },
-            cores,
+            QueryDemand::of(interaction),
+            node.spec().cores,
         );
         {
             let r = self.requests.req_mut(req);

@@ -32,7 +32,10 @@ impl RoleState {
 /// A cluster machine.
 #[derive(Debug)]
 pub struct Node {
-    pub spec: NodeSpec,
+    spec: NodeSpec,
+    /// `1 / spec.cpu_scale` as [`NodeSpec::cpu_time`] computes it, held
+    /// so a CPU slice multiplies instead of dividing.
+    cpu_time_factor: f64,
     /// CPU cores (timed multi-server).
     pub cpu: MultiServer<ReqId>,
     /// Disk (single-armed, timed).
@@ -76,6 +79,7 @@ impl Node {
         let pressure = pressure_factor(mem_used_mb, spec.memory_mb);
         Node {
             spec,
+            cpu_time_factor: spec.cpu_time_factor(),
             cpu: MultiServer::new(start, spec.cores, None),
             disk: MultiServer::new(start, 1, None),
             nic: MultiServer::new(start, 1, None),
@@ -90,11 +94,16 @@ impl Node {
         self.role_state.role()
     }
 
+    /// The node's hardware, fixed for its lifetime.
+    pub fn spec(&self) -> &NodeSpec {
+        &self.spec
+    }
+
     /// CPU service time for `demand` at reference speed, including memory
     /// pressure.
     pub fn cpu_time(&self, demand: SimDuration) -> SimDuration {
         health_scaled(
-            self.spec.cpu_time(demand).mul_f64(self.pressure),
+            demand.mul_f64(self.cpu_time_factor).mul_f64(self.pressure),
             self.health.cpu_factor(),
         )
     }

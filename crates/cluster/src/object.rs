@@ -8,6 +8,8 @@
 //! `maximum_object_size_in_memory` (default 8 KB!) a meaningful knob.
 
 use crate::cache::ObjectId;
+use std::sync::OnceLock;
+use tpcw::scale::CatalogScale;
 
 /// Median object size in KB.
 const MEDIAN_KB: f64 = 8.0;
@@ -78,7 +80,27 @@ fn inv_norm_cdf(p: f64) -> f64 {
 }
 
 /// Deterministic size of object `id`, in bytes.
+///
+/// Ids of the paper's catalogue (`CatalogScale::hpdc04`, 20,050 objects)
+/// are served from a table filled once per process with the same
+/// formula, which takes an `exp` and often a `ln` off every cacheable
+/// request; other ids compute it directly.
 pub fn object_size_bytes(id: ObjectId) -> u64 {
+    static SIZES: OnceLock<Box<[u32]>> = OnceLock::new();
+    let sizes = SIZES.get_or_init(|| {
+        (0..CatalogScale::hpdc04().static_objects())
+            // Sizes are clamped to MAX_BYTES (2 MiB), so they fit a u32.
+            .map(|id| compute_size(id) as u32)
+            .collect()
+    });
+    match usize::try_from(id).ok().and_then(|i| sizes.get(i)) {
+        Some(&bytes) => u64::from(bytes),
+        None => compute_size(id),
+    }
+}
+
+/// The size formula behind [`object_size_bytes`].
+fn compute_size(id: ObjectId) -> u64 {
     let h = hash64(id);
     // Map to (0,1) strictly.
     let u = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
@@ -95,6 +117,17 @@ mod tests {
     fn deterministic() {
         for id in 0..100 {
             assert_eq!(object_size_bytes(id), object_size_bytes(id));
+        }
+    }
+
+    #[test]
+    fn table_matches_formula() {
+        let catalogue = CatalogScale::hpdc04().static_objects();
+        for id in (0..catalogue)
+            .chain(catalogue..catalogue + 100)
+            .chain([u64::MAX])
+        {
+            assert_eq!(object_size_bytes(id), compute_size(id), "id {id}");
         }
     }
 

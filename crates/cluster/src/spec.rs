@@ -56,7 +56,12 @@ impl NodeSpec {
 
     /// Scale a CPU demand expressed at reference speed to this node.
     pub fn cpu_time(&self, demand: SimDuration) -> SimDuration {
-        demand.mul_f64(1.0 / self.cpu_scale.max(1e-9))
+        demand.mul_f64(self.cpu_time_factor())
+    }
+
+    /// The factor [`NodeSpec::cpu_time`] scales a demand by.
+    pub fn cpu_time_factor(&self) -> f64 {
+        1.0 / self.cpu_scale.max(1e-9)
     }
 
     pub fn validate(&self) -> Result<(), String> {

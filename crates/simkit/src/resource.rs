@@ -8,7 +8,7 @@
 //! the cluster simulator.
 
 use crate::queue::{BoundedQueue, Offer};
-use crate::stats::{UtilizationTracker, Welford};
+use crate::stats::UtilizationTracker;
 use crate::time::{SimDuration, SimTime};
 
 /// Outcome of offering a job to a [`MultiServer`].
@@ -50,7 +50,9 @@ pub struct MultiServer<T> {
     busy: u32,
     queue: BoundedQueue<Waiting<T>>,
     util: UtilizationTracker,
-    wait: Welford,
+    /// Queueing delay summed over every started job (immediate starts
+    /// add zero).
+    wait_sum: SimDuration,
     started: u64,
     completed: u64,
 }
@@ -68,7 +70,7 @@ impl<T> MultiServer<T> {
                 None => BoundedQueue::unbounded(),
             },
             util: UtilizationTracker::new(start, servers as f64),
-            wait: Welford::new(),
+            wait_sum: SimDuration::ZERO,
             started: 0,
             completed: 0,
         }
@@ -80,7 +82,6 @@ impl<T> MultiServer<T> {
             self.busy += 1;
             self.util.set_busy(now, self.busy as f64);
             self.started += 1;
-            self.wait.record(0.0);
             Admission::Started
         } else {
             match self.queue.offer(Waiting {
@@ -103,7 +104,7 @@ impl<T> MultiServer<T> {
         if let Some(w) = self.queue.take() {
             // Server goes straight to the next job; busy count unchanged.
             let waited = now.since(w.enqueued_at);
-            self.wait.record(waited.as_secs_f64());
+            self.wait_sum += waited;
             self.started += 1;
             Some(Dispatched {
                 job: w.job,
@@ -133,7 +134,7 @@ impl<T> MultiServer<T> {
                 Some(w) => {
                     self.busy += 1;
                     let waited = now.since(w.enqueued_at);
-                    self.wait.record(waited.as_secs_f64());
+                    self.wait_sum += waited;
                     self.started += 1;
                     dispatched.push(Dispatched {
                         job: w.job,
@@ -182,7 +183,6 @@ impl<T> MultiServer<T> {
         self.util.utilization(now)
     }
 
-    /// Mean queueing delay (seconds) of jobs started so far.
     /// Publish this resource's busy-time and queue state into `registry`
     /// under `prefix`: utilization/busy/queue gauges plus throughput
     /// counters. Counters accumulate across calls on a shared registry.
@@ -204,8 +204,15 @@ impl<T> MultiServer<T> {
             .add(self.rejected());
     }
 
+    /// Mean queueing delay (seconds) of jobs started so far: the summed
+    /// wait of every started job over [`MultiServer::started`], with
+    /// immediate starts counting as zero (0 before any job starts).
     pub fn mean_wait_secs(&self) -> f64 {
-        self.wait.mean()
+        if self.started == 0 {
+            0.0
+        } else {
+            self.wait_sum.as_secs_f64() / self.started as f64
+        }
     }
 
     /// Restart the utilization window (iteration boundary).

@@ -51,6 +51,55 @@ impl LognormalShape {
             sigma: sigma2.sqrt(),
         }
     }
+
+    /// The location `mu = ln(mean) − σ²/2` of the lognormal with this
+    /// shape and `mean`. Call sites whose mean is fixed for a run compute
+    /// it once and draw with [`SimRng::lognormal_at`], which removes the
+    /// per-draw `ln`.
+    #[inline]
+    pub fn location(self, mean: f64) -> f64 {
+        debug_assert!(mean > 0.0);
+        mean.ln() - self.sigma2 / 2.0
+    }
+}
+
+/// Zipf-like popularity over `[0, n)` with the skew exponent derived once.
+///
+/// [`SimRng::zipf`] re-derives `1 / (1 − θ)` on every draw; a sampler
+/// built once per run holds it, and [`Zipf::sample`] performs the
+/// identical draw and arithmetic, so the two are bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Zipf {
+    n: u64,
+    /// `None` for `θ <= 0`, which samples uniformly.
+    exponent: Option<f64>,
+}
+
+impl Zipf {
+    /// Sampler over `[0, n)` with skew `theta` in `[0, 1)`; `n` must be
+    /// nonzero.
+    pub fn new(n: u64, theta: f64) -> Self {
+        debug_assert!(n > 0);
+        let exponent = if theta <= 0.0 {
+            None
+        } else {
+            Some(1.0 / (1.0 - theta.min(0.999)))
+        };
+        Zipf { n, exponent }
+    }
+
+    /// Draw one rank.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        let Some(exponent) = self.exponent else {
+            return rng.next_below(self.n);
+        };
+        // Inverse-CDF approximation for the continuous analogue
+        // ("independent reference model" style): rank ~ n * u^(1/(1-theta)).
+        let u = rng.next_f64();
+        let r = (self.n as f64) * u.powf(exponent);
+        (r as u64).min(self.n - 1)
+    }
 }
 
 /// A deterministic xoshiro256** pseudo-random generator.
@@ -212,14 +261,28 @@ impl SimRng {
     /// per-draw `ln`/`sqrt` parameter derivation.
     #[inline]
     pub fn lognormal_shaped(&mut self, shape: LognormalShape, mean: f64) -> f64 {
-        debug_assert!(mean > 0.0);
-        let mu = mean.ln() - shape.sigma2 / 2.0;
+        self.lognormal_at(shape, shape.location(mean))
+    }
+
+    /// Sample with a precomputed location `mu` from
+    /// [`LognormalShape::location`] — bit-identical to
+    /// [`SimRng::lognormal_shaped`] with that mean, minus the per-draw `ln`.
+    #[inline]
+    pub fn lognormal_at(&mut self, shape: LognormalShape, mu: f64) -> f64 {
         (mu + shape.sigma * self.standard_normal()).exp()
     }
 
     /// Sample an index from non-negative weights (at least one positive).
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().sum();
+        self.weighted_index_with_total(weights, total)
+    }
+
+    /// [`SimRng::weighted_index`] with the caller's cached
+    /// `total = weights.iter().sum()`; bit-identical when `total` is that
+    /// sum, without re-summing a fixed weight table on every draw.
+    #[inline]
+    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         debug_assert!(total > 0.0, "weighted_index needs a positive total weight");
         let mut x = self.next_f64() * total;
         for (i, &w) in weights.iter().enumerate() {
@@ -237,16 +300,9 @@ impl SimRng {
     /// Zipf-like sample over `[0, n)` with skew `theta` in `[0, 1)`.
     /// theta = 0 is uniform; larger theta concentrates probability on low
     /// ranks. Used for object popularity (cache working sets).
+    /// Hot call sites build a [`Zipf`] once instead.
     pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        debug_assert!(n > 0);
-        if theta <= 0.0 {
-            return self.next_below(n);
-        }
-        // Inverse-CDF approximation for the continuous analogue
-        // ("independent reference model" style): rank ~ n * u^(1/(1-theta)).
-        let u = self.next_f64();
-        let r = (n as f64) * u.powf(1.0 / (1.0 - theta.min(0.999)));
-        (r as u64).min(n - 1)
+        Zipf::new(n, theta).sample(self)
     }
 }
 
@@ -367,6 +423,76 @@ mod tests {
                 let x = a.lognormal_mean_cv(mean, cv);
                 let y = b.lognormal_shaped(shape, mean);
                 assert_eq!(x.to_bits(), y.to_bits(), "cv={cv} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn lognormal_at_is_bit_identical_to_shaped() {
+        for cv in [0.3, 0.6, 0.7, 0.8] {
+            let shape = LognormalShape::from_cv(cv);
+            for mean in [0.05, 3.0, 14.0, 24.0 * 1024.0, 120.0 * 1024.0] {
+                let mu = shape.location(mean);
+                let mut a = SimRng::new(91);
+                let mut b = SimRng::new(91);
+                for i in 0..10_000 {
+                    let x = a.lognormal_shaped(shape, mean);
+                    let y = b.lognormal_at(shape, mu);
+                    assert_eq!(x.to_bits(), y.to_bits(), "cv={cv} mean={mean} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_index_with_total_matches_resumming() {
+        // The unhoisted form: sum the weights on every draw.
+        fn resumming(rng: &mut SimRng, weights: &[f64]) -> usize {
+            let total: f64 = weights.iter().sum();
+            let mut x = rng.next_f64() * total;
+            for (i, &w) in weights.iter().enumerate() {
+                if x < w {
+                    return i;
+                }
+                x -= w;
+            }
+            weights.iter().rposition(|&w| w > 0.0).unwrap_or(0)
+        }
+        let tables: [&[f64]; 3] = [&[1.0, 0.0, 3.0], &[0.1, 0.2, 0.3, 0.4], &[29.0, 0.09, 0.82]];
+        for weights in tables {
+            let total: f64 = weights.iter().sum();
+            let mut a = SimRng::new(5);
+            let mut b = SimRng::new(5);
+            let mut c = SimRng::new(5);
+            for _ in 0..10_000 {
+                let want = resumming(&mut a, weights);
+                assert_eq!(b.weighted_index_with_total(weights, total), want);
+                assert_eq!(c.weighted_index(weights), want);
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_sampler_is_bit_identical_to_per_draw_exponent() {
+        // The unhoisted form: derive the exponent on every draw.
+        fn per_draw(rng: &mut SimRng, n: u64, theta: f64) -> u64 {
+            if theta <= 0.0 {
+                return rng.next_below(n);
+            }
+            let u = rng.next_f64();
+            let r = (n as f64) * u.powf(1.0 / (1.0 - theta.min(0.999)));
+            (r as u64).min(n - 1)
+        }
+        for theta in [0.0, -1.0, 0.5, 0.8, 0.999, 1.5, f64::NAN] {
+            let zipf = Zipf::new(20_050, theta);
+            let mut a = SimRng::new(3);
+            let mut b = SimRng::new(3);
+            for _ in 0..10_000 {
+                assert_eq!(
+                    zipf.sample(&mut a),
+                    per_draw(&mut b, 20_050, theta),
+                    "theta={theta}"
+                );
             }
         }
     }

@@ -131,9 +131,16 @@ impl TimeWeighted {
     }
 
     /// Record that the signal changed to `value` at time `now`.
+    ///
+    /// A same-instant update (`dt == 0`) skips the integration: for a
+    /// finite signal `last_value * 0.0` is a signed zero, and adding one
+    /// leaves the area (which starts at `+0.0`, so is never `-0.0`)
+    /// bit-identical.
     pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_time).as_secs_f64();
-        self.area += self.last_value * dt;
+        let dt = now.since(self.last_time);
+        if !dt.is_zero() {
+            self.area += self.last_value * dt.as_secs_f64();
+        }
         self.last_time = now;
         self.last_value = value;
         if value > self.peak {
@@ -392,6 +399,32 @@ mod tests {
         assert!((avg - (0.0 * 10.0 + 4.0 * 10.0 + 2.0 * 10.0) / 30.0).abs() < 1e-9);
         assert_eq!(tw.peak(), 4.0);
         assert_eq!(tw.current(), 2.0);
+    }
+
+    #[test]
+    fn same_instant_updates_match_full_integration() {
+        // The unhoisted form integrates on every update, dt == 0 included.
+        let (mut area, mut last_t, mut last_v) = (0.0f64, SimTime::ZERO, 0.0);
+        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
+        let steps = [
+            (0, 1.0),
+            (0, 2.0),
+            (5, -1.0),
+            (5, 3.0),
+            (5, 0.5),
+            (12, 0.0),
+            (12, 7.0),
+            (30, 2.0),
+        ];
+        for (us, v) in steps {
+            let now = SimTime::from_micros(us);
+            area += last_v * now.since(last_t).as_secs_f64();
+            (last_t, last_v) = (now, v);
+            tw.set(now, v);
+        }
+        let end = SimTime::from_micros(45);
+        let want = (area + last_v * end.since(last_t).as_secs_f64()) / end.as_secs_f64();
+        assert_eq!(tw.average(end).to_bits(), want.to_bits());
     }
 
     #[test]

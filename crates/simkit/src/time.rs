@@ -20,6 +20,9 @@ pub struct SimDuration(u64);
 pub const MICROS_PER_MILLI: u64 = 1_000;
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
+/// 2^53: every integer below it converts to `f64` exactly.
+const EXACT_F64_INT: u64 = 1 << 53;
+
 /// Round a non-negative finite `x < 2^64` to the nearest integer, halves
 /// away from zero — bit-identical to `x.round() as u64` on that domain.
 ///
@@ -153,7 +156,16 @@ impl SimDuration {
 
     /// Scale by a non-negative factor, rounding to the nearest microsecond.
     /// Used for slow-down multipliers (e.g. memory-pressure penalties).
+    ///
+    /// A factor of exactly 1.0 — the pressure, CPU-speed and scheduling
+    /// factors on nearly every slice — returns `self` untouched below
+    /// 2^53 µs, where `self as f64` is exact and the float path rounds
+    /// back to the same integer.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
+        if factor == 1.0 && self.0 < EXACT_F64_INT {
+            return self;
+        }
         // NaN and non-positive factors clamp to zero.
         if factor.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return SimDuration::ZERO;
@@ -336,6 +348,38 @@ mod tests {
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
         assert_eq!(d.mul_f64(-2.0), SimDuration::ZERO);
         assert_eq!(d.mul_f64(f64::NAN), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn mul_f64_by_one_matches_float_path() {
+        // The unhoisted formula: round-to-nearest of `self as f64 * 1.0`.
+        let float_path = |us: u64| {
+            let v = us as f64 * 1.0;
+            if v >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                round_nonneg(v)
+            }
+        };
+        let below = [0, 1, 1_500, (1 << 52) + 1, EXACT_F64_INT - 1];
+        let above = [
+            EXACT_F64_INT,
+            EXACT_F64_INT + 1,
+            EXACT_F64_INT + 3,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for us in below.into_iter().chain(above) {
+            let got = SimDuration::from_micros(us).mul_f64(1.0).as_micros();
+            assert_eq!(got, float_path(us), "us = {us}");
+        }
+        // Below 2^53 the float path is the identity.
+        for us in below {
+            assert_eq!(SimDuration::from_micros(us).mul_f64(1.0).as_micros(), us);
+        }
+        // Above it the float path rounds, and the shortcut must not skip it.
+        assert_eq!(float_path(EXACT_F64_INT + 1), EXACT_F64_INT);
+        assert_eq!(SimDuration::MAX.mul_f64(1.0), SimDuration::MAX);
     }
 
     #[test]

@@ -61,6 +61,21 @@ impl fmt::Display for Workload {
 pub struct Mix {
     /// Percent weight per interaction, indexed by [`Interaction::index`].
     weights: [f64; Interaction::COUNT],
+    /// `weights.iter().sum()`, computed once so sampling does not re-sum
+    /// the fourteen weights on every draw.
+    total: f64,
+}
+
+/// `weights.iter().sum()` in a `const` context: the same left fold from
+/// the same `-0.0` start as `f64`'s `Sum`, so the result is bit-identical.
+const fn weight_total(weights: &[f64; Interaction::COUNT]) -> f64 {
+    let mut total = -0.0;
+    let mut i = 0;
+    while i < weights.len() {
+        total += weights[i];
+        i += 1;
+    }
+    total
 }
 
 impl Mix {
@@ -78,11 +93,11 @@ impl Mix {
             }
             weights[ix.index()] = pct;
         }
-        let total: f64 = weights.iter().sum();
+        let total = weight_total(&weights);
         if (total - 100.0).abs() > 1e-6 {
             return Err(MixError::BadTotal(total));
         }
-        Ok(Mix { weights })
+        Ok(Mix { weights, total })
     }
 
     /// Percent weight of one interaction.
@@ -110,7 +125,7 @@ impl Mix {
     /// published table only pins the steady-state frequencies, so we sample
     /// i.i.d. from them directly (documented substitution in DESIGN.md §1).
     pub fn sample(&self, rng: &mut SimRng) -> Interaction {
-        let idx = rng.weighted_index(&self.weights);
+        let idx = rng.weighted_index_with_total(&self.weights, self.total);
         // `weighted_index` returns a position inside `self.weights`,
         // which has exactly `Interaction::COUNT` entries.
         Interaction::ALL[idx.min(Interaction::COUNT - 1)]
@@ -146,7 +161,7 @@ macro_rules! static_mix {
     ($(($ix:ident, $pct:expr)),+ $(,)?) => {{
         let mut weights = [0.0; Interaction::COUNT];
         $(weights[Interaction::$ix.index()] = $pct;)+
-        Mix { weights }
+        Mix { weights, total: weight_total(&weights) }
     }};
 }
 
@@ -213,6 +228,28 @@ mod tests {
         for w in Workload::ALL {
             let total: f64 = w.mix().weights().iter().sum();
             assert!((total - 100.0).abs() < 1e-9, "{w} mix sums to {total}");
+        }
+    }
+
+    #[test]
+    fn cached_total_is_bit_identical_to_sum() {
+        for w in Workload::ALL {
+            let mix = w.mix();
+            let summed: f64 = mix.weights().iter().sum();
+            assert_eq!(mix.total.to_bits(), summed.to_bits(), "{w}");
+        }
+    }
+
+    #[test]
+    fn sampling_with_cached_total_matches_resumming() {
+        for w in Workload::ALL {
+            let mix = w.mix();
+            let mut a = SimRng::new(41);
+            let mut b = SimRng::new(41);
+            for _ in 0..10_000 {
+                let want = Interaction::ALL[b.weighted_index(mix.weights())];
+                assert_eq!(mix.sample(&mut a), want, "{w}");
+            }
         }
     }
 
