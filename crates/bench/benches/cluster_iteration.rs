@@ -309,6 +309,43 @@ fn report_eval_speedup() {
         spec_counters.misses,
         spec_counters.speculated
     );
+
+    // The one fully parallel stretch of a session: 2x2x2's 47 full-space
+    // simplex init vertices, which speculation refills in two rounds
+    // (32, then 15). Measured, not projected.
+    let chain = Topology::tiers(2, 2, 2).expect("2x2x2 topology");
+    let cfg = SessionConfig::new(chain, Workload::Shopping, 400).plan(IntervalPlan::tiny());
+    let iters = 47u32;
+    let t0 = Instant::now();
+    let plain = tune(&cfg, TuningMethod::Default, iters).expect("sequential tune");
+    let sequential = t0.elapsed();
+    let spec_cfg = cfg.eval_settings(EvalSettings::default().cache(true).threads(0));
+    let t1 = Instant::now();
+    let speculated = tune(&spec_cfg, TuningMethod::Default, iters).expect("speculative tune");
+    let speculative = t1.elapsed();
+    let c = spec_cfg.eval.counters();
+    let bits = |run: &orchestrator::session::TuningRun| {
+        run.wips_series()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        bits(&plain),
+        bits(&speculated),
+        "speculation changed the 2x2x2 init-chain WIPS series"
+    );
+    println!(
+        "iteration/eval speculation, 2x2x2 init chain ({iters} iterations, {cores} core(s)): \
+         {:.2}x measured (sequential {:.0} ms, speculative {:.0} ms, \
+         {} refills, {} speculated, {} misses)",
+        sequential.as_secs_f64() / speculative.as_secs_f64().max(1e-9),
+        sequential.as_secs_f64() * 1e3,
+        speculative.as_secs_f64() * 1e3,
+        c.refills,
+        c.speculated,
+        c.misses
+    );
 }
 
 fn main() {

@@ -242,6 +242,10 @@ mod tests {
             .iter()
             .any(|(k, v)| k == "cluster.n2.db.cpu.utilization" && *v > 0.0));
         assert!(snap
+            .gauges
+            .iter()
+            .any(|(k, v)| k == "cluster.n2.db.conn_pool.mean_wait_s" && *v >= 0.0));
+        assert!(snap
             .hists
             .iter()
             .any(|(k, h)| k == "cluster.wips" && h.count == 1));

@@ -25,9 +25,14 @@
 //!   propose over the next few iterations (see `Tuner::speculate`) and
 //!   evaluates the misses concurrently on the process-wide worker pool
 //!   ([`crate::par::shared_pool`]) before the sequential loop consumes
-//!   them as cache hits. Wrong guesses cost only wasted background
-//!   work; they can never change a result, because the consuming lookup
-//!   is keyed by the scenario the loop actually built.
+//!   them as cache hits. Speculation refills on a miss
+//!   ([`EvalEngine::refill`]): while the next evaluation is cached the
+//!   loop consumes it and speculates nothing; when it is not, the whole
+//!   horizon is prefetched as one batch, so a long certain chain (the
+//!   simplex init vertices) runs in full-width rounds. Wrong guesses
+//!   cost only wasted background work; they can never change a result,
+//!   because the consuming lookup is keyed by the scenario the loop
+//!   actually built.
 //!
 //! Determinism argument: the cache stores the raw simulation outcome
 //! (fault-noise multipliers are applied by the session *after* lookup,
@@ -68,8 +73,11 @@ pub struct EvalSettings {
     /// Maximum cached entries; once full, new outcomes are no longer
     /// stored (deterministic, unlike an eviction policy).
     pub capacity: usize,
-    /// How many future iterations to speculate across per loop step.
-    /// Large enough by default to cover a whole simplex init chain.
+    /// How many future iterations one speculative refill covers. A
+    /// refill happens only when the next evaluation is not cached (see
+    /// [`EvalEngine::refill`]), so a certain chain longer than the
+    /// horizon runs in rounds: 2x2x2's 47 full-space init vertices take
+    /// two refills at the default of 32 (32, then 15).
     pub horizon: usize,
 }
 
@@ -125,6 +133,8 @@ pub struct EvalCounters {
     /// failed validation, or the cache hit its capacity cap before the
     /// result could be stored.
     pub speculation_dropped: u64,
+    /// Prefetch batches that executed work (speculative refills).
+    pub refills: u64,
 }
 
 impl EvalCounters {
@@ -137,6 +147,7 @@ impl EvalCounters {
             speculation_dropped: self
                 .speculation_dropped
                 .saturating_sub(earlier.speculation_dropped),
+            refills: self.refills.saturating_sub(earlier.refills),
         }
     }
 
@@ -163,6 +174,7 @@ pub struct EvalEngine {
     misses: AtomicU64,
     speculated: AtomicU64,
     speculation_dropped: AtomicU64,
+    refills: AtomicU64,
 }
 
 impl std::fmt::Debug for EvalEngine {
@@ -198,6 +210,7 @@ impl EvalEngine {
             misses: AtomicU64::new(0),
             speculated: AtomicU64::new(0),
             speculation_dropped: AtomicU64::new(0),
+            refills: AtomicU64::new(0),
         }
     }
 
@@ -245,6 +258,7 @@ impl EvalEngine {
             misses: self.misses.load(Ordering::Relaxed),
             speculated: self.speculated.load(Ordering::Relaxed),
             speculation_dropped: self.speculation_dropped.load(Ordering::Relaxed),
+            refills: self.refills.load(Ordering::Relaxed),
         }
     }
 
@@ -274,6 +288,39 @@ impl EvalEngine {
         out
     }
 
+    /// Refill-on-miss speculation, called once per loop step before the
+    /// step's consuming [`EvalEngine::run`]. `ahead(k)` builds the
+    /// scenarios the loop may consume over its next `k` evaluations
+    /// (offset 0 first); `remaining` caps the horizon at the iterations
+    /// left in the current phase.
+    ///
+    /// Only offset 0 is checked: when every candidate there is cached,
+    /// the step consumes a hit and nothing more is built. Otherwise, or
+    /// when the tuner telegraphs nothing for offset 0, the full horizon
+    /// is built and prefetched as one batch, so the workers see whole
+    /// rounds instead of one new scenario per step. The decision reads
+    /// cache contents only, never the worker count, so the cache (and
+    /// every snapshot of it) is the same at any width. Speculation off
+    /// means no call to `ahead` at all. Returns the evaluations
+    /// executed.
+    pub fn refill(&self, remaining: usize, ahead: impl Fn(usize) -> Vec<ClusterScenario>) -> usize {
+        let horizon = self.speculation_horizon().min(remaining);
+        if horizon == 0 {
+            return 0;
+        }
+        let next = ahead(1);
+        if !next.is_empty() && self.all_cached(&next) {
+            return 0;
+        }
+        self.prefetch(&ahead(horizon))
+    }
+
+    fn all_cached(&self, scenarios: &[ClusterScenario]) -> bool {
+        let keys: Vec<u64> = scenarios.iter().map(scenario_fingerprint).collect();
+        let cache = self.lock();
+        keys.iter().all(|k| cache.contains_key(k))
+    }
+
     /// Speculatively evaluate `scenarios` on the shared worker pool
     /// ([`crate::par::shared_pool`]), caching the results for the
     /// sequential loop to consume. Already-cached and duplicate
@@ -282,6 +329,7 @@ impl EvalEngine {
     /// with its usual context. Returns the number of evaluations
     /// actually executed; only *stored* results count toward the
     /// `speculated` counter, the rest land in `speculation_dropped`.
+    /// A call that executed anything counts as one of `refills`.
     pub fn prefetch(&self, scenarios: &[ClusterScenario]) -> usize {
         if self.speculation_horizon() == 0 || scenarios.is_empty() {
             return 0;
@@ -328,6 +376,7 @@ impl EvalEngine {
         self.speculated.fetch_add(stored, Ordering::Relaxed);
         self.speculation_dropped
             .fetch_add(dropped, Ordering::Relaxed);
+        self.refills.fetch_add(1, Ordering::Relaxed);
         executed
     }
 
@@ -517,6 +566,7 @@ mod tests {
         let c = engine.counters();
         assert_eq!((c.hits, c.misses, c.speculated), (1, 0, 3));
         assert_eq!(c.speculation_dropped, 0, "every result was stored");
+        assert_eq!(c.refills, 1, "the all-cached batch executed nothing");
         // The cached speculative result equals a fresh sequential run.
         let fresh = run_iteration(&scenarios[1]);
         assert_eq!(out.metrics.wips.to_bits(), fresh.metrics.wips.to_bits());
@@ -548,17 +598,25 @@ mod tests {
             misses: 4,
             speculated: 3,
             speculation_dropped: 2,
+            refills: 1,
         };
         let b = EvalCounters {
             hits: 7,
             misses: 5,
             speculated: 6,
             speculation_dropped: 5,
+            refills: 3,
         };
         let d = b.since(&a);
         assert_eq!(
-            (d.hits, d.misses, d.speculated, d.speculation_dropped),
-            (2, 1, 3, 3)
+            (
+                d.hits,
+                d.misses,
+                d.speculated,
+                d.speculation_dropped,
+                d.refills
+            ),
+            (2, 1, 3, 3, 2)
         );
     }
 
@@ -568,6 +626,49 @@ mod tests {
         assert_eq!(no_cache.prefetch(&[scenario(0)]), 0);
         let one_thread = EvalEngine::new(EvalSettings::default().cache(true));
         assert_eq!(one_thread.prefetch(&[scenario(0)]), 0);
+    }
+
+    #[test]
+    fn refill_runs_the_horizon_only_when_offset_zero_misses() {
+        let engine = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
+        let calls = std::cell::RefCell::new(Vec::new());
+        let ahead = |k: usize| {
+            calls.borrow_mut().push(k);
+            (0..k as u32).map(scenario).collect::<Vec<_>>()
+        };
+        // Cold: offset 0 misses, so the whole (capped) horizon runs.
+        assert_eq!(engine.refill(3, ahead), 3);
+        assert_eq!(*calls.borrow(), [1, 3]);
+        // Warm: offset 0 hits, nothing beyond it is built.
+        assert_eq!(engine.refill(3, ahead), 0);
+        assert_eq!(*calls.borrow(), [1, 3, 1]);
+        let c = engine.counters();
+        assert_eq!((c.speculated, c.refills), (3, 1));
+    }
+
+    #[test]
+    fn refill_without_an_offset_zero_hint_prefetches_the_horizon() {
+        let engine = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
+        let ahead = |k: usize| {
+            if k == 1 {
+                Vec::new()
+            } else {
+                vec![scenario(1), scenario(2)]
+            }
+        };
+        assert_eq!(engine.refill(2, ahead), 2);
+        assert_eq!(engine.refill(2, ahead), 0, "already cached");
+        let c = engine.counters();
+        assert_eq!((c.speculated, c.refills), (2, 1));
+    }
+
+    #[test]
+    fn refill_builds_nothing_when_speculation_is_off() {
+        let engine = EvalEngine::new(EvalSettings::default().cache(true));
+        let ahead = |_: usize| -> Vec<ClusterScenario> { panic!("speculation is off") };
+        assert_eq!(engine.refill(8, ahead), 0);
+        let on = EvalEngine::new(EvalSettings::default().cache(true).threads(2));
+        assert_eq!(on.refill(0, ahead), 0, "no iterations left");
     }
 
     #[test]

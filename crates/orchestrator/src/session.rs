@@ -1183,6 +1183,25 @@ impl TuneEngine {
         }
     }
 
+    /// [`TuneEngine::speculate`] as the scenarios the loop would build
+    /// for iterations `first..first + horizon`.
+    fn scenarios_ahead(
+        &self,
+        cfg: &SessionConfig,
+        first: u32,
+        horizon: usize,
+    ) -> Vec<ClusterScenario> {
+        let mut scenarios = Vec::new();
+        for (off, candidates) in self.speculate(cfg, horizon).into_iter().enumerate() {
+            for candidate in candidates {
+                let mut s = cfg.scenario(candidate, first + off as u32);
+                s.lines = self.lines();
+                scenarios.push(s);
+            }
+        }
+        scenarios
+    }
+
     /// Cross the per-server speculation lists offset by offset: a joint
     /// candidate exists at offset `k` only while *every* server still
     /// sees that far ahead, and each combination picks one candidate per
@@ -1560,24 +1579,14 @@ fn drive_tuning(
         if method == TuningMethod::Hybrid && i == switch_at {
             engine = TuneEngine::fine_phase(cfg, &best.config)?;
         }
-        // Speculative parallel evaluation: ask the tuner what it may
-        // propose over the next few iterations and warm the cache on
-        // worker threads. The horizon never crosses the hybrid's phase
-        // switch (the fine engine proposes from a different space).
-        let spec_horizon = cfg.eval.speculation_horizon();
-        if spec_horizon > 0 {
-            let phase_end = if i < switch_at { switch_at } else { iterations };
-            let horizon = spec_horizon.min((phase_end - i) as usize);
-            let mut scenarios = Vec::new();
-            for (off, candidates) in engine.speculate(cfg, horizon).into_iter().enumerate() {
-                for candidate in candidates {
-                    let mut s = cfg.scenario(candidate, i + off as u32);
-                    s.lines = engine.lines();
-                    scenarios.push(s);
-                }
-            }
-            cfg.eval.prefetch(&scenarios);
-        }
+        // Speculative parallel evaluation, refilled only when this
+        // step's evaluation would miss. The horizon never crosses the
+        // hybrid's phase switch (the fine engine proposes from a
+        // different space).
+        let phase_end = if i < switch_at { switch_at } else { iterations };
+        cfg.eval.refill((phase_end - i) as usize, |horizon| {
+            engine.scenarios_ahead(cfg, i, horizon)
+        });
         let t0 = Instant::now();
         let config = engine.propose(cfg);
         let mut scenario = cfg.scenario(config.clone(), i);

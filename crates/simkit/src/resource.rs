@@ -186,6 +186,9 @@ impl<T> MultiServer<T> {
     /// Publish this resource's busy-time and queue state into `registry`
     /// under `prefix`: utilization/busy/queue gauges plus throughput
     /// counters. Counters accumulate across calls on a shared registry.
+    /// The `mean_wait_s` gauge is [`MultiServer::mean_wait_secs`]: it
+    /// covers every job started since the resource was built, warmup
+    /// included, not just the current utilization window.
     pub fn publish_metrics(&self, registry: &obs::Registry, prefix: &str, now: SimTime) {
         registry
             .gauge(&format!("{prefix}.utilization"))
@@ -193,6 +196,9 @@ impl<T> MultiServer<T> {
         registry
             .gauge(&format!("{prefix}.busy"))
             .set(self.busy() as f64);
+        registry
+            .gauge(&format!("{prefix}.mean_wait_s"))
+            .set(self.mean_wait_secs());
         registry
             .histogram(&format!("{prefix}.queue_len"))
             .record(self.queue_len() as f64);
@@ -310,5 +316,14 @@ mod tests {
         m.offer(S(0), 2, D(1));
         m.complete(S(4)); // job 2 waited 4s
         assert!((m.mean_wait_secs() - 2.0).abs() < 1e-9);
+        let registry = obs::Registry::new();
+        m.publish_metrics(&registry, "pool", S(5));
+        let gauge = registry
+            .snapshot()
+            .gauges
+            .into_iter()
+            .find(|(k, _)| k == "pool.mean_wait_s")
+            .map(|(_, v)| v);
+        assert_eq!(gauge, Some(m.mean_wait_secs()));
     }
 }

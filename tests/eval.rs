@@ -312,6 +312,32 @@ fn thread_width_1_2_8_is_byte_identical() {
     assert_eq!(fp_at(1), fp_at(8));
 }
 
+/// The refill schedule of a cold simplex init chain. 2x2x2's full
+/// space has 47 init vertices, all certain in advance, against the
+/// default 32-iteration horizon: speculation refills once at iteration 0
+/// (32 vertices) and once more when the loop reaches the first vertex
+/// past that window (the remaining 15), and every evaluation the loop
+/// consumes is a hit. The schedule reads only cache contents, so it is
+/// the same at every worker count.
+#[test]
+fn cold_init_chain_refills_twice_at_any_width() {
+    const ITERS: u32 = 47;
+    let counters_at = |w: usize| {
+        let cfg = pinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
+            .eval_settings(EvalSettings::default().cache(true).threads(w));
+        tune(&cfg, TuningMethod::Default, ITERS).expect("tuning session");
+        cfg.eval.counters()
+    };
+    let at_2 = counters_at(2);
+    let at_8 = counters_at(8);
+    for (w, c) in [(2, &at_2), (8, &at_8)] {
+        assert_eq!(c.misses, 0, "width {w}: {c:?}");
+        assert_eq!(c.speculated, u64::from(ITERS), "width {w}: {c:?}");
+        assert_eq!(c.refills, 2, "width {w}: 32, then 15: {c:?}");
+    }
+    assert_eq!(at_2, at_8, "worker count changed the refill schedule");
+}
+
 /// Checkpoint artifacts are width-independent too: two speculating
 /// widths write snapshot + journal files that are byte-identical, down
 /// to the serialized memoization cache (every width stores the same
