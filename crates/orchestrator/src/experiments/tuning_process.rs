@@ -8,8 +8,9 @@
 //! the headline improvement stays small.
 
 use super::{population_for, Effort};
-use crate::session::{tune_default_method, SessionConfig, TuningRun};
+use crate::session::{tune, SessionConfig, TuningRun};
 use cluster::config::Topology;
+use harmony::strategy::TuningMethod;
 use tpcw::mix::Workload;
 
 /// Result of one workload's tuning-process run.
@@ -47,7 +48,7 @@ pub fn run(workload: Workload, effort: &Effort, seed: u64) -> (TuningProcessResu
     .plan(effort.plan)
     .base_seed(seed);
     let (default_wips, default_std) = cfg.measure_default(effort.reps);
-    let run = tune_default_method(&cfg, effort.iterations)
+    let run = tune(&cfg, TuningMethod::Default, effort.iterations)
         .unwrap_or_else(|e| panic!("tuning session failed: {e}"));
 
     let half = (effort.iterations / 2) as usize;
