@@ -6,18 +6,22 @@
 //!   three §III tuning layouts (full per-node, per-tier duplication,
 //!   per-work-line partitioning);
 //! * [`session`] — tuning sessions: propose → simulate one
-//!   warm-up/measure/cool-down cycle → observe WIPS;
+//!   warm-up/measure/cool-down cycle → observe WIPS, for every §III
+//!   method through one loop (resilient sessions included);
 //! * [`schedule`] — changing-workload sessions (Figure 5);
 //! * [`reconfigure`] — tuning plus the §IV automatic reconfiguration
 //!   controller (Figure 7);
-//! * [`resilient`] — fault-tolerant sessions: retry/backoff,
-//!   re-measurement, circuit breaking, failure-driven reconfiguration;
+//! * [`resilient`] — fault-tolerant duplication sessions: the session
+//!   loop plus retry/backoff, re-measurement, circuit breaking, failure
+//!   detection and failure-driven reconfiguration;
 //! * [`checkpoint`] — crash-safe session persistence: write-ahead
 //!   journal, periodic snapshots, and deterministic resume;
 //! * [`eval`] — the evaluation engine: memoized measurements and
 //!   speculative parallel candidate evaluation;
 //! * [`experiments`] — one typed runner per paper table/figure;
-//! * [`par`] — crossbeam-based parallel fan-out of independent runs;
+//! * [`par`] — std-thread parallel fan-out of independent runs: scoped
+//!   threads for borrowed inputs and the shared worker pool for owned
+//!   batches;
 //! * [`report`] — text tables and sparklines for the regenerators.
 
 //!

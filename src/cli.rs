@@ -166,7 +166,9 @@ TUNE:
   --detector         run a resilient session that gates crash
                      reconfiguration on the φ-accrual failure detector
                      (heartbeats -> suspicion -> membership) instead of
-                     the fault injector's health oracle
+                     the fault injector's health oracle. Resilient
+                     sessions tune by duplication: --method other than
+                     duplication is refused with it or --health-oracle
   --detector-window N   φ sliding-window capacity (default 64;
                      requires --detector)
   --phi-threshold X  suspicion threshold φ* (default 8.0; requires
@@ -193,7 +195,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
         "reconfig" => Ok(Command::Reconfig(parse_sim_exact(&rest)?)),
         "tune" => {
             let (sim, leftover) = parse_sim(&rest)?;
-            let mut method = TuningMethod::Default;
+            let mut method = None;
             let mut iterations = 50;
             let mut tuner = None;
             let mut detector = false;
@@ -229,13 +231,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
                     }
                     "--method" => {
                         let v = leftover.get(i + 1).ok_or("--method needs a value")?;
-                        method = match v.as_str() {
+                        method = Some(match v.as_str() {
                             "default" => TuningMethod::Default,
                             "duplication" => TuningMethod::Duplication,
                             "partitioning" => TuningMethod::Partitioning,
                             "hybrid" => TuningMethod::Hybrid,
                             other => return Err(format!("unknown method '{other}'")),
-                        };
+                        });
                         i += 2;
                     }
                     "--iterations" => {
@@ -247,6 +249,19 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
             }
             if detector && health_oracle {
                 return Err("--detector conflicts with --health-oracle".into());
+            }
+            // Resilient sessions always tune by duplication.
+            if (detector || health_oracle) && method.is_some_and(|m| m != TuningMethod::Duplication)
+            {
+                let flag = if detector {
+                    "--detector"
+                } else {
+                    "--health-oracle"
+                };
+                return Err(format!(
+                    "{flag} runs a resilient session, which tunes by duplication; \
+                     drop --method or say --method duplication"
+                ));
             }
             if !detector {
                 if detector_window.is_some() {
@@ -264,7 +279,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Command, String>
             }
             Ok(Command::Tune(TuneArgs {
                 sim,
-                method,
+                method: method.unwrap_or(TuningMethod::Default),
                 iterations,
                 tuner,
                 detector,
@@ -628,6 +643,18 @@ mod tests {
         assert!(err.contains("positive"), "{err}");
         assert!(parse(argv(&["tune", "--detector", "--phi-threshold"])).is_err());
         assert!(parse(argv(&["tune", "--detector", "--detector-window", "lots"])).is_err());
+        // Resilient sessions tune by duplication; any other explicit
+        // method is refused instead of silently ignored.
+        for flag in ["--detector", "--health-oracle"] {
+            for method in ["default", "partitioning", "hybrid"] {
+                let err = parse(argv(&["tune", flag, "--method", method])).unwrap_err();
+                assert!(err.contains("duplication"), "{flag} {method}: {err}");
+            }
+            match parse(argv(&["tune", "--method", "duplication", flag])).unwrap() {
+                Command::Tune(t) => assert_eq!(t.method, TuningMethod::Duplication),
+                other => panic!("{other:?}"),
+            }
+        }
         // Detector flags belong to `tune`; other subcommands reject them.
         assert!(parse(argv(&["simulate", "--detector"])).is_err());
         assert!(parse(argv(&["sweep", "--health-oracle"])).is_err());

@@ -168,23 +168,36 @@ fn run_killed<F: FnOnce()>(f: F) {
 /// the policy stack acted (a retry, trip, timeout, or degradation —
 /// i.e. at a policy-transition boundary) and resume: the spliced trace
 /// must be byte-identical to the uninterrupted one and the final state
-/// bit-equal. No jitter draw is ever re-burned on restore.
+/// bit-equal. No jitter draw is ever re-burned on restore. TUNA weights
+/// samples by their confidence interval, so its sessions also pin that
+/// replay rebuilds the typed measurement the live loop fed it; they
+/// snapshot every 3 iterations, so a kill at iteration 2 replays the
+/// first two deltas — the start point's confirmation samples, whose
+/// weighted median TUNA compares its first candidate against.
 #[test]
 fn kill_and_resume_is_byte_identical_at_policy_transitions() {
     let settings = chaos_settings();
-    for chaos in library::all(window_s(), 4) {
-        let cfg = chaos_cfg(chaos.plan.clone(), "simplex");
-
-        kill_resume_roundtrip(chaos.name, &cfg, &settings);
+    for (tuner, every) in [("simplex", 2), ("tuna", 3)] {
+        for chaos in library::all(window_s(), 4) {
+            let cfg = chaos_cfg(chaos.plan.clone(), tuner);
+            let name = format!("{tuner}-{}", chaos.name);
+            kill_resume_roundtrip(&name, &cfg, &settings, every);
+        }
     }
 }
 
 /// Run the kill/resume byte-identity contract for one (config, settings)
-/// pair: the boundaries are every iteration after which the stack acted
-/// or (in detector mode) membership transitioned — the latter are
-/// exactly the mid-suspicion boundaries where φ windows, membership
-/// streaks, and pending arrivals must restore bit-exactly.
-fn kill_resume_roundtrip(name: &str, cfg: &SessionConfig, settings: &ResilienceSettings) {
+/// pair, snapshotting every `every` iterations: the boundaries are every
+/// iteration after which the stack acted or (in detector mode)
+/// membership transitioned — the latter are exactly the mid-suspicion
+/// boundaries where φ windows, membership streaks, and pending arrivals
+/// must restore bit-exactly.
+fn kill_resume_roundtrip(
+    name: &str,
+    cfg: &SessionConfig,
+    settings: &ResilienceSettings,
+    every: u32,
+) {
     let mut full_sink = MemorySink::new();
     let mut observer = SessionObserver::with_sink(&mut full_sink);
     let full_run = run_resilient_session_observed(cfg, settings, ITERS, &mut observer)
@@ -210,7 +223,9 @@ fn kill_resume_roundtrip(name: &str, cfg: &SessionConfig, settings: &ResilienceS
 
     for k in boundaries {
         let dir = temp_dir(&format!("{name}-{k}"));
-        let ck = cfg.clone().checkpoint(CheckpointPolicy::new(&dir).every(2));
+        let ck = cfg
+            .clone()
+            .checkpoint(CheckpointPolicy::new(&dir).every(every));
         let mut sink = KillSink {
             inner: MemorySink::new(),
             kill_at: k,
@@ -224,7 +239,7 @@ fn kill_resume_roundtrip(name: &str, cfg: &SessionConfig, settings: &ResilienceS
 
         let resume_cfg = cfg
             .clone()
-            .checkpoint(CheckpointPolicy::new(&dir).every(2).resume(true));
+            .checkpoint(CheckpointPolicy::new(&dir).every(every).resume(true));
         let mut resumed_sink = MemorySink::new();
         let mut observer = SessionObserver::with_sink(&mut resumed_sink);
         let run = run_resilient_session_observed(&resume_cfg, settings, ITERS, &mut observer)
@@ -324,7 +339,7 @@ fn detector_kill_and_resume_is_byte_identical_mid_suspicion() {
     let settings = detector_settings();
     for chaos in library::all(window_s(), 4) {
         let cfg = chaos_cfg(chaos.plan.clone(), "simplex");
-        kill_resume_roundtrip(&format!("det-{}", chaos.name), &cfg, &settings);
+        kill_resume_roundtrip(&format!("det-{}", chaos.name), &cfg, &settings, 2);
     }
     // And one plan built to straddle a boundary mid-confirmation: the
     // crash lands two beats before the window ends, so at the kill point
@@ -343,5 +358,5 @@ fn detector_kill_and_resume_is_byte_identical_mid_suspicion() {
         "suspicion must straddle the boundary: {:?}",
         run.detections
     );
-    kill_resume_roundtrip("det-straddle", &cfg, &settings);
+    kill_resume_roundtrip("det-straddle", &cfg, &settings, 2);
 }

@@ -338,6 +338,35 @@ fn cold_init_chain_refills_twice_at_any_width() {
     assert_eq!(at_2, at_8, "worker count changed the refill schedule");
 }
 
+/// Multi-server sessions speculate only certain joint proposals. Each
+/// duplication tier server always knows its very next proposal, but
+/// after a reflect it offers three follow-ups; crossing those lists
+/// prefetched joint combinations of which at most one was consumed. On a
+/// cold session every consumed evaluation is still a hit, each prefetched
+/// exactly once, at any width, and the results match the sequential run.
+#[test]
+fn duplication_speculates_only_certain_joint_proposals() {
+    const ITERS: u32 = 16;
+    let cfg_at = |w: usize| {
+        pinned(Topology::tiers(2, 2, 2).expect("topology"), 300)
+            .eval_settings(EvalSettings::default().cache(true).threads(w))
+    };
+    let sequential = tune(&cfg_at(1), TuningMethod::Duplication, ITERS).expect("width 1");
+    let counters_at = |w: usize| {
+        let cfg = cfg_at(w);
+        let run = tune(&cfg, TuningMethod::Duplication, ITERS).expect("tuning session");
+        assert_eq!(run.wips_series(), sequential.wips_series(), "width {w}");
+        cfg.eval.counters()
+    };
+    let at_2 = counters_at(2);
+    let at_8 = counters_at(8);
+    for (w, c) in [(2, &at_2), (8, &at_8)] {
+        assert_eq!(c.misses, 0, "width {w}: {c:?}");
+        assert_eq!(c.speculated, u64::from(ITERS), "width {w}: {c:?}");
+    }
+    assert_eq!(at_2, at_8, "worker count changed the speculation");
+}
+
 /// Checkpoint artifacts are width-independent too: two speculating
 /// widths write snapshot + journal files that are byte-identical, down
 /// to the serialized memoization cache (every width stores the same

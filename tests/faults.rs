@@ -117,3 +117,37 @@ fn app_tier_crash_retries_reconfigures_and_recovers() {
         "recovery took {recovered_in} iterations (> 10)"
     );
 }
+
+/// Without faults a resilient session *is* duplication tuning: the same
+/// session loop, with every tuner fed the same typed measurement. TUNA
+/// weights each sample by its confidence interval, so it pins that the
+/// resilient path reports the interval too; simplex and bestconfig read
+/// only the mean.
+#[test]
+fn fault_free_resilient_session_is_duplication_tuning() {
+    const ITERS: u32 = 12;
+    for tuner in ["simplex", "bestconfig", "tuna"] {
+        let cfg = SessionConfig::new(Topology::tiers(2, 2, 2).unwrap(), Workload::Shopping, 300)
+            .plan(IntervalPlan::tiny())
+            .tuner(tuner);
+        let plain = tune(&cfg, TuningMethod::Duplication, ITERS).expect("duplication session");
+        let run = run_resilient_session(&cfg, &ResilienceSettings::default(), ITERS)
+            .expect("resilient session");
+        let bits = |series: Vec<f64>| -> Vec<u64> { series.iter().map(|w| w.to_bits()).collect() };
+        assert_eq!(
+            bits(run.wips_series()),
+            bits(plain.wips_series()),
+            "{tuner}: WIPS series"
+        );
+        assert_eq!(
+            run.best_wips.to_bits(),
+            plain.best_wips.to_bits(),
+            "{tuner}"
+        );
+        assert!(run.best_wips > 0.0, "{tuner}");
+        assert!(run.faults.is_empty(), "{tuner}: {:?}", run.faults);
+        assert!(run.recoveries.is_empty(), "{tuner}: {:?}", run.recoveries);
+        assert!(run.reconfigs.is_empty(), "{tuner}: {:?}", run.reconfigs);
+        assert_eq!(run.final_topology, cfg.topology, "{tuner}");
+    }
+}
